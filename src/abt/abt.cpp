@@ -349,9 +349,9 @@ void ops_suspend(sched::SuspendCb cb, void* arg) {
 }
 
 /// Re-deposits a unit a sync-primitive signaller owns. May run on a
-/// foreign OS thread (rank -1) — the core routes that through the home
-/// rank's fair queue; tls_now() because wakers can sit after a
-/// suspension point themselves.
+/// foreign OS thread (rank -1) — the core puts an unpinned unit on its
+/// inject queue, which any worker drains; tls_now() because wakers can
+/// sit after a suspension point themselves.
 void ops_resume(void* handle) {
   auto* wu = static_cast<WorkUnit*>(handle);
   wu->state.store(State::Ready, std::memory_order_relaxed);

@@ -366,17 +366,19 @@ void ops_suspend(sched::SuspendCb cb, void* arg) {
   leave(m);
 }
 
-/// Re-deposits a strand a sync-primitive signaller owns. make_ready is
-/// wrong here: push_owner assumes a worker-thread caller, but wakers can
-/// be foreign OS threads (rank -1) — core->ready routes that through the
-/// fair queue instead.
+/// Re-deposits a strand a sync-primitive signaller owns. Like make_ready,
+/// but wakers can be foreign OS threads (rank -1), which own no deque:
+/// their strands go to the core's inject queue, which any worker drains.
+/// tls_now() because wakers can sit after a suspension point themselves.
 void ops_resume(void* handle) {
   auto* s = static_cast<Strand*>(handle);
+  const int rank = tls_now().rank;
   if (use_pinned_path(s)) {
     g_rt->core->push_main(s);
+  } else if (rank >= 0) {
+    g_rt->core->push_owner(rank, s);
   } else {
-    g_rt->core->ready(tls_now().rank, /*home_rank=*/0, /*pinned=*/false,
-                      /*fifo=*/false, s);
+    g_rt->core->inject(s);
   }
 }
 

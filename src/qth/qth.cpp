@@ -132,7 +132,9 @@ FebBucket& bucket_for(const aligned_t* addr) {
 
 /// Makes @p th runnable. The main context goes to the core's main slot;
 /// a woken unpinned qthread lands on the waker's own deque (cache-warm,
-/// stealable), pinned ones return to their home shepherd's fair queue.
+/// stealable) — or, woken from outside the runtime, on the core's inject
+/// queue any shepherd drains — pinned ones return to their home
+/// shepherd's fair queue.
 /// @p fifo routes through the fair queue instead (yields — a yielding
 /// qthread must not immediately preempt deque work). The caller's rank is
 /// resolved via tls_now(): wake paths (writeF from qthread_entry) can run

@@ -18,6 +18,14 @@
 //    the exact-placement contract glt::ult_create_to documents.
 //  * `locked` — the seed's mutex-guarded FIFO, used exclusively when the
 //    core runs in Dispatch::Locked (the measurable baseline).
+// One core-wide queue sits beside the per-worker pools:
+//  * `inject` — unpinned units made runnable (submit or ready) by a thread
+//    outside the runtime (caller_rank < 0); MPMC push by those threads,
+//    popped FIFO by every worker after its deque and fair FIFO, and first
+//    on every 64th pop (offset 32 from the fair-first tick) so a spawn
+//    storm cannot starve it. The push wakes any advertised-idle worker, so
+//    a foreign wake never waits for one particular (possibly OS-blocked)
+//    home worker.
 // A separate *main slot* holds the primary context: only the worker-0
 // loop pops it, so a thief can never resume main and tear the runtime
 // down from a foreign OS thread (the §IV-G pin-the-main hazard).
@@ -162,10 +170,11 @@ class WsCore {
 
   /// Creation-time placement. Hot path — an unpinned spawn by the target's
   /// own worker — lands LIFO on the caller's lock-free deque where idle
-  /// workers steal from the top. Exact placement (@p pinned) and foreign
-  /// submissions (@p caller_rank != @p target_rank, incl. foreign threads
-  /// with caller_rank < 0) go through the target's owner-only fair FIFO,
-  /// so pinned units can never be stolen.
+  /// workers steal from the top. Exact placement (@p pinned) and remote
+  /// submissions (@p caller_rank != @p target_rank) go through the
+  /// target's owner-only fair FIFO, so pinned units can never be stolen;
+  /// an unpinned unit from a thread outside the runtime (caller_rank < 0)
+  /// goes to the inject queue, which every worker drains.
   void submit(int caller_rank, int target_rank, bool pinned, T item) {
     if (!ws_) {
       pool_for(target_rank).locked.push(item);
@@ -173,6 +182,8 @@ class WsCore {
     } else if (shared_) {
       pools_[0]->fair.push(item);
       wake_any(caller_rank);
+    } else if (!pinned && caller_rank < 0) {
+      inject(item);
     } else if (pinned || caller_rank != target_rank) {
       pool_for(target_rank).fair.push(item);
       wake_owner_store(caller_rank, target_rank);
@@ -185,8 +196,10 @@ class WsCore {
   /// Re-readies a suspended unit. @p fifo routes through the fair FIFO
   /// (yields — the unit must not immediately preempt deque work);
   /// otherwise a woken unpinned unit lands LIFO on the waker's own deque
-  /// (cache-warm, stealable). Callers resolve @p caller_rank *after* any
-  /// suspension point (it may have changed OS threads).
+  /// (cache-warm, stealable). A waker outside the runtime (caller_rank
+  /// < 0) has neither, so an unpinned unit goes to the inject queue.
+  /// Callers resolve @p caller_rank *after* any suspension point (it may
+  /// have changed OS threads).
   void ready(int caller_rank, int home_rank, bool pinned, bool fifo,
              T item) {
     if (!ws_) {
@@ -198,13 +211,31 @@ class WsCore {
     } else if (pinned) {
       pool_for(home_rank).fair.push(item);
       wake_owner_store(caller_rank, home_rank);
-    } else if (caller_rank >= 0 && !fifo) {
+    } else if (caller_rank < 0) {
+      inject(item);
+    } else if (!fifo) {
       pool_for(caller_rank).deque.push(item);
       wake_thief(caller_rank);
     } else {
-      const int rank = caller_rank >= 0 ? caller_rank : home_rank;
-      pool_for(rank).fair.push(item);
-      wake_owner_store(caller_rank, rank);
+      pool_for(caller_rank).fair.push(item);
+      wake_owner_store(caller_rank, caller_rank);
+    }
+  }
+
+  /// Deposits an unpinned unit made runnable by a thread outside the
+  /// runtime, which owns no pool: the inject queue in work-stealing mode
+  /// (any worker runs it), the shared pool, or worker 0's FIFO in the
+  /// Locked baseline.
+  void inject(T item) {
+    if (!ws_) {
+      pool_for(0).locked.push(item);
+      wake_owner_store(-1, 0);
+    } else if (shared_) {
+      pools_[0]->fair.push(item);
+      wake_any(-1);
+    } else {
+      inject_.push(item);
+      wake_any(-1);
     }
   }
 
@@ -308,19 +339,25 @@ class WsCore {
 
   // --------------------------------------------------------- consumption
 
-  /// Owner-side pop from @p rank's pool. Work-first: the deque bottom
-  /// (newest, cache-warm) goes first; the fair queue is checked first
-  /// every 64th pop so pinned/yielded units cannot starve behind a spawn
-  /// storm. Returns T{} when empty.
+  /// Owner-side pop from @p rank's pool, then the core-wide inject queue.
+  /// Work-first: the deque bottom (newest, cache-warm) goes first; the
+  /// fair queue is checked first every 64th pop, and the inject queue
+  /// every 64th pop half a period later, so pinned/yielded and foreign-
+  /// woken units cannot starve behind a spawn storm. Returns T{} when
+  /// empty.
   T pop_local(int rank, unsigned* tick) {
     Pool& pool = pool_for(rank);
     if (!ws_) {
       if (auto v = pool.locked.pop()) return *v;
       return T{};
     }
-    const bool fair_first = (++*tick & 63u) == 0;
+    const unsigned phase = ++*tick & 63u;
+    const bool fair_first = phase == 0;
+    const bool inject_first = phase == 32 && !shared_;
     if (fair_first) {
       if (auto v = pool.fair.pop()) return *v;
+    } else if (inject_first) {
+      if (auto v = inject_.pop()) return *v;
     }
     if (!shared_) {
       T item{};
@@ -328,6 +365,9 @@ class WsCore {
     }
     if (!fair_first) {
       if (auto v = pool.fair.pop()) return *v;
+    }
+    if (!shared_ && !inject_first) {
+      if (auto v = inject_.pop()) return *v;
     }
     return T{};
   }
@@ -492,6 +532,7 @@ class WsCore {
     const Pool& own = pool_for(rank);
     if (!ws_) return !own.locked.empty();
     if (own.fair.size_approx() > 0 || !own.deque.empty_approx()) return true;
+    if (inject_.size_approx() > 0) return true;
     if (!stealing_active()) return false;
     for (int v = 0; v < n_; ++v) {
       if (v == rank) continue;
@@ -544,10 +585,11 @@ class WsCore {
                        idle_words_[w].load(std::memory_order_relaxed)));
     }
     std::fprintf(
-        stderr, "  main slot: %llu\n",
+        stderr, "  main slot: %llu  inject: %zu\n",
         static_cast<unsigned long long>(
             ws_ ? static_cast<std::uint64_t>(main_fair_.size_approx())
-                : static_cast<std::uint64_t>(main_locked_.size())));
+                : static_cast<std::uint64_t>(main_locked_.size())),
+        inject_.size_approx());
     for (int r = 0; r < n_; ++r) {
       const Pool& p = pool_for(r);
       const Counters& c = counters_[static_cast<std::size_t>(r)];
@@ -706,7 +748,7 @@ class WsCore {
     if (v >= 0) unpark(v);
   }
 
-  /// Wake for a deposit any worker can consume (shared pool).
+  /// Wake for a deposit any worker can consume (shared pool, inject queue).
   void wake_any(int caller_rank) {
     if (policy_ == WakePolicy::All) {
       wake_all();
@@ -791,6 +833,8 @@ class WsCore {
   std::vector<std::unique_ptr<Pool>> pools_;
   OverflowQueue<T> main_fair_{64};
   LockedQueue<T> main_locked_;
+  /// Unpinned units readied from outside the runtime; every worker pops.
+  OverflowQueue<T> inject_{256};
   /// One idle bit per worker, set (seq_cst) before the final pre-park
   /// probe and claimed (CAS) by wakers — see acquire().
   std::vector<std::atomic<std::uint64_t>> idle_words_;

@@ -20,6 +20,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "apps/qpserver.hpp"
@@ -621,6 +623,53 @@ TEST_P(SyncBackend, ChannelTimedRecvNeverLosesConcurrentItem) {
       EXPECT_EQ(v, r);
     }
   }
+}
+
+TEST_P(SyncBackend, ForeignFedConsumersRunWhileMainBlocksItsThread) {
+  // Consumer ULTs block in recv; a std::thread outside the runtime feeds
+  // them more items than the channel holds, so it can finish only if the
+  // consumers keep running. Meanwhile the main ULT blocks its own OS
+  // thread (worker 0's) on the feeder BEFORE joining anyone: consumers
+  // woken from outside the runtime must therefore run on the other GLT
+  // threads, not wait for worker 0. A deadline turns a regression into a
+  // failure instead of a hang — joining the consumers afterwards lets
+  // worker 0 run anything stranded, so the test still tears down.
+  struct Ctx {
+    gg::channel<int> ch{4};
+    std::atomic<long> sum{0};
+    std::atomic<int> received{0};
+  } ctx;
+  constexpr int kConsumers = 2;
+  constexpr int kItems = 200;
+  std::vector<gg::Ult*> us;
+  for (int k = 0; k < kConsumers; ++k) {
+    us.push_back(gg::ult_create(
+        [](void* q) {
+          auto* c = static_cast<Ctx*>(q);
+          int v = 0;
+          while (c->ch.recv(v)) {
+            c->sum.fetch_add(v);
+            c->received.fetch_add(1);
+          }
+        },
+        &ctx));
+  }
+  std::promise<void> fed;
+  std::future<void> fed_done = fed.get_future();
+  std::thread feeder([&] {
+    for (int i = 0; i < kItems; ++i) EXPECT_TRUE(ctx.ch.send(i));
+    ctx.ch.close();
+    fed.set_value();
+  });
+  const bool finished =
+      fed_done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(finished)
+      << "feeder stalled: consumers woken from outside the runtime are "
+         "stranded on the OS-blocked worker 0";
+  for (auto* u : us) gg::ult_join(u);
+  feeder.join();
+  EXPECT_EQ(ctx.received.load(), kItems);
+  EXPECT_EQ(ctx.sum.load(), static_cast<long>(kItems) * (kItems - 1) / 2);
 }
 
 TEST_P(SyncBackend, QpServerOverloadAccountingConserves) {

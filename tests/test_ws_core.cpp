@@ -321,7 +321,9 @@ TEST(WsCore, WakeOneTargetedWakeReachesParkedOwner) {
     for (;;) {
       auto* v = core.acquire(1, st, /*with_main=*/false);
       if (v == nullptr) break;  // shutdown + drained
-      sum.fetch_add(*v, std::memory_order_relaxed);
+      // Release: the main thread acquires `sum` before it grows (and so
+      // frees) `backing`, which this read of *v must happen before.
+      sum.fetch_add(*v, std::memory_order_release);
     }
   });
   std::vector<std::intptr_t> backing(kItems);
@@ -591,6 +593,186 @@ TEST(WsCore, ChaseLevPushNPublishesAcrossGrowth) {
   deque.push_n(items.data() + 100, static_cast<std::size_t>(kItems) - 100);
   while (deque.pop(&out)) sum += *out;
   EXPECT_EQ(sum, kItems * (kItems + 1) / 2);
+}
+
+// ------------------------------------------------------------ inject queue
+
+TEST(WsCore, ForeignUnpinnedReadyIsTakenByAnyWorker) {
+  // A thread outside the runtime (caller_rank < 0) readies units whose
+  // home is worker 0; a worker that is not the home must be able to run
+  // them — through pop_local, try_next, and acquire.
+  gs::WsCore<int*> core(cfg(3));
+  int a = 0, b = 0, c = 0, d = 0;
+  core.ready(/*caller=*/-1, /*home=*/0, /*pinned=*/false, /*fifo=*/false, &a);
+  EXPECT_TRUE(core.maybe_work(2, false)) << "inject queue is visible to all";
+  unsigned tick = 0;
+  EXPECT_EQ(core.pop_local(2, &tick), &a) << "non-home worker pops it";
+  EXPECT_FALSE(core.maybe_work(0, false));
+
+  core.ready(-1, 0, false, /*fifo=*/true, &b);
+  glto::common::FastRng rng(11);
+  EXPECT_EQ(core.try_next(1, &tick, rng, /*with_main=*/false), &b)
+      << "a yield-style (fifo) foreign ready is injected too";
+
+  core.submit(/*caller=*/-1, /*target=*/0, /*pinned=*/false, &d);
+  EXPECT_EQ(core.pop_local(2, &tick), &d) << "foreign unpinned submit";
+  EXPECT_EQ(core.pop_local(0, &tick), nullptr);
+
+  // Shutdown first: acquire then probes everything once and returns null
+  // instead of blocking if the unit is out of its reach.
+  core.ready(-1, 0, false, false, &c);
+  core.request_shutdown();
+  gs::AcquireState st(3);
+  EXPECT_EQ(core.acquire(1, st, /*with_main=*/false), &c);
+}
+
+TEST(WsCore, ForeignPinnedReadyStaysOwnerOnly) {
+  gs::WsCore<int*> core(cfg(3));
+  int x = 0;
+  core.ready(/*caller=*/-1, /*home=*/1, /*pinned=*/true, /*fifo=*/false, &x);
+  unsigned tick = 0;
+  glto::common::FastRng rng(5);
+  EXPECT_EQ(core.pop_local(0, &tick), nullptr);
+  EXPECT_EQ(core.pop_local(2, &tick), nullptr);
+  EXPECT_EQ(core.try_steal(0, rng), nullptr);
+  EXPECT_FALSE(core.maybe_work(2, false));
+  EXPECT_EQ(core.pop_local(1, &tick), &x) << "only the home owner runs it";
+}
+
+TEST(WsCore, InjectedUnitCannotStarveBehindSpawnStorm) {
+  // Worker 0's deque never drains (one owner spawn before every pop), yet
+  // the every-64th-pop inject-first check must serve a unit injected for
+  // home worker 1.
+  gs::WsCore<int*> core(cfg(2));
+  std::vector<int> storm(64, 0);
+  for (int& s : storm) core.submit(0, 0, /*pinned=*/false, &s);
+  int injected = 0;
+  core.ready(-1, /*home=*/1, /*pinned=*/false, /*fifo=*/false, &injected);
+  unsigned tick = 0;
+  int pops = 0;
+  bool served = false;
+  for (std::size_t i = 0; i < storm.size() && !served; ++i) {
+    core.submit(0, 0, false, &storm[i]);
+    ++pops;
+    served = core.pop_local(0, &tick) == &injected;
+  }
+  EXPECT_TRUE(served) << "injected unit not served within 64 pops";
+  EXPECT_LE(pops, 64);
+}
+
+TEST(WsCore, ForeignReadyWakesExactlyOneIdleWorker) {
+  // Every worker parks in acquire. One foreign ready must claim exactly one
+  // idle bit (wakes_issued +1), and the claimed worker's acquire returns
+  // the unit. A parked worker whose timed park expires may rarely beat the
+  // woken one to it, so rounds repeat until the woken worker wins once;
+  // the one-wake-per-deposit bound must hold in every round.
+  gs::WsCoreConfig c = cfg(3);
+  c.wake_policy = gs::WakePolicy::One;
+  gs::WsCore<int*> core(c);
+  constexpr int kWorkers = 3;
+  std::atomic<int> got_by{-1};
+  std::vector<std::thread> workers;
+  for (int r = 0; r < kWorkers; ++r) {
+    workers.emplace_back([&, r] {
+      gs::AcquireState st(static_cast<std::uint64_t>(r) + 1);
+      while (core.acquire(r, st, /*with_main=*/false) != nullptr) {
+        got_by.store(r, std::memory_order_release);
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto all_idle = [&] {
+    for (int r = 0; r < kWorkers; ++r) {
+      if (!core.idle_advertised(r)) return false;
+    }
+    return true;
+  };
+  int unit = 0;
+  bool woken_worker_ran_it = false;
+  for (int round = 0; round < 50 && !woken_worker_ran_it; ++round) {
+    while (!all_idle()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::yield();
+    }
+    got_by.store(-1, std::memory_order_relaxed);
+    const auto before = core.stats().wakes_issued;
+    core.ready(/*caller=*/-1, /*home=*/0, /*pinned=*/false, /*fifo=*/false,
+               &unit);
+    const auto wakes = core.stats().wakes_issued - before;
+    // The claim clears the woken worker's bit inside ready(); the others
+    // stay advertised until a park times out.
+    int woken = -1, cleared = 0;
+    for (int r = 0; r < kWorkers; ++r) {
+      if (!core.idle_advertised(r)) {
+        woken = r;
+        ++cleared;
+      }
+    }
+    while (got_by.load(std::memory_order_acquire) < 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "injected unit never ran: lost foreign wake";
+      std::this_thread::yield();
+    }
+    EXPECT_LE(wakes, 1u) << "one foreign deposit wakes at most one worker";
+    woken_worker_ran_it = wakes == 1 && cleared == 1 &&
+                          got_by.load(std::memory_order_acquire) == woken;
+  }
+  EXPECT_TRUE(woken_worker_ran_it);
+  core.request_shutdown();
+  for (auto& t : workers) t.join();
+}
+
+TEST(WsCore, SingleWorkerDrainsInjectQueue) {
+  gs::WsCore<int*> core(cfg(1));
+  int a = 0, b = 0;
+  core.ready(-1, 0, /*pinned=*/false, /*fifo=*/false, &a);
+  core.submit(-1, 0, /*pinned=*/false, &b);
+  unsigned tick = 0;
+  EXPECT_EQ(core.pop_local(0, &tick), &a);
+  EXPECT_EQ(core.pop_local(0, &tick), &b);
+  // A parked lone worker is woken by the foreign deposit.
+  std::atomic<int*> got{nullptr};
+  std::thread worker([&] {
+    gs::AcquireState st(9);
+    got.store(core.acquire(0, st, /*with_main=*/true));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!core.idle_advertised(0)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
+  core.ready(-1, 0, false, false, &a);
+  worker.join();
+  EXPECT_EQ(got.load(), &a);
+}
+
+TEST(WsCore, LockedAndSharedModesKeepForeignPlacement) {
+  // Dispatch::Locked: a foreign ready returns to the home's locked FIFO,
+  // a foreign submit to the target's — nobody else can pop either.
+  {
+    gs::WsCore<int*> core(cfg(3, /*shared=*/false, /*ws=*/false));
+    int x = 0, y = 0;
+    core.ready(-1, /*home=*/2, /*pinned=*/false, /*fifo=*/false, &x);
+    core.submit(-1, /*target=*/1, /*pinned=*/false, &y);
+    unsigned tick = 0;
+    EXPECT_EQ(core.pop_local(0, &tick), nullptr);
+    EXPECT_EQ(core.pop_local(1, &tick), &y);
+    EXPECT_EQ(core.pop_local(1, &tick), nullptr);
+    EXPECT_EQ(core.pop_local(2, &tick), &x);
+  }
+  // GLT_SHARED_QUEUES: one pool serves every worker, as before.
+  {
+    gs::WsCore<int*> core(cfg(3, /*shared=*/true));
+    int x = 0, y = 0;
+    core.ready(-1, 2, false, false, &x);
+    core.submit(-1, 1, false, &y);
+    unsigned tick = 0;
+    EXPECT_EQ(core.pop_local(0, &tick), &x);
+    EXPECT_EQ(core.pop_local(0, &tick), &y);
+    EXPECT_EQ(core.pop_local(0, &tick), nullptr);
+  }
 }
 
 // ---------------------------------------------------------------- freelist
