@@ -1,11 +1,9 @@
-// Ablation — ULT dispatch throughput of the abt backend, locked-FIFO
-// baseline vs. the Chase–Lev work-stealing scheduler (PR 1 tentpole).
+// Ablation — ULT dispatch throughput of the Chase–Lev work-stealing
+// scheduler core that all three backends share.
 //
-// Two shapes per (dispatch × threads) cell:
+// Two shapes per thread count on the native abt backend:
 //  * burst  — create kBurst unpinned ULTs from the primary, then join them
-//             all: the fine-grained spawn storm of Figs. 4–5. The locked
-//             baseline serializes every push/pop on one spinlock and pays
-//             a heap allocation + stack-pool lock per spawn; the deque
+//             all: the fine-grained spawn storm of Figs. 4–5. The deque
 //             path is lock-free end to end (owner push, freelist pop,
 //             stack-cache hit) and idle xstreams steal the backlog.
 //  * pingpong — create+join one ULT at a time: dispatch latency, the
@@ -13,12 +11,11 @@
 //             to win back.
 //
 // A third section sweeps the same burst through the GLT facade for ALL
-// three backends × {locked, ws} — the dispatch-parity ablation: every
-// backend now runs the shared sched::WsCore, and $ABT_DISPATCH /
-// $QTH_DISPATCH / $MTH_DISPATCH select each backend's seed-style locked
-// baseline. (glt-over-abt doubles as the §III-B "GLT overhead is
-// negligible" check against the native abt rows.) Emits JSONL per row via
-// $GLTO_BENCH_JSON.
+// three backends — the dispatch-parity ablation: every backend runs the
+// shared sched::WsCore. (glt-over-abt doubles as the §III-B "GLT overhead
+// is negligible" check against the native abt rows.) Row labels keep the
+// `-ws` suffix so they line up with the committed BENCH_dispatch.json
+// rows. Emits JSONL per row via $GLTO_BENCH_JSON.
 //
 // Two further sections (task ABI v2 PR):
 //  * burst-co — the same facade burst joined in *completion order*: a
@@ -109,86 +106,71 @@ int main() {
   const int scale = static_cast<int>(b::scale());
   const int burst = kBurst * scale;
 
-  std::printf("Ablation: abt dispatch — locked FIFO (seed baseline) vs "
-              "Chase–Lev work stealing\n");
+  std::printf("Ablation: Chase–Lev work-stealing dispatch\n");
   std::printf("burst=%d ULTs, pingpong=%d create+join pairs, %d reps/cell\n",
               burst, burst / 4, reps);
 
-  struct Mode {
-    const char* env;   // ABT_DISPATCH value
-    const char* name;  // row label
-  };
-  const Mode modes[] = {{"locked", "abt-locked"}, {"ws", "abt-ws"}};
+  {
+    // Burst for ~50 ms before the first timed cell: without it that cell
+    // reads a cold process (its median was 36-55% above the same cell
+    // timed later in the run), and its in-cell warm-up burst is too short.
+    AbtRun rt(1);
+    c::Timer warm;
+    while (warm.elapsed_sec() < 0.05) (void)run_burst_abt(burst);
+  }
 
   b::print_header("abt dispatch: burst spawn+join (s)");
-  for (const Mode& m : modes) {
-    c::env_set("ABT_DISPATCH", m.env);
-    for (int nth : b::thread_sweep()) {
-      AbtRun rt(nth);
-      (void)run_burst_abt(burst);  // warm freelists / stack caches
-      auto st = b::time_runs(reps, [&] { (void)run_burst_abt(burst); });
-      b::print_row(m.name, nth, st);
-    }
+  for (int nth : b::thread_sweep()) {
+    AbtRun rt(nth);
+    (void)run_burst_abt(burst);  // warm freelists / stack caches
+    auto st = b::time_runs(reps, [&] { (void)run_burst_abt(burst); });
+    b::print_row("abt-ws", nth, st);
   }
 
   b::print_header("abt dispatch: create+join pingpong (s)");
-  for (const Mode& m : modes) {
-    c::env_set("ABT_DISPATCH", m.env);
-    for (int nth : b::thread_sweep()) {
-      AbtRun rt(nth);
-      (void)run_pingpong_abt(burst / 4);
-      auto st = b::time_runs(reps, [&] { (void)run_pingpong_abt(burst / 4); });
-      b::print_row(m.name, nth, st);
-    }
+  for (int nth : b::thread_sweep()) {
+    AbtRun rt(nth);
+    (void)run_pingpong_abt(burst / 4);
+    auto st = b::time_runs(reps, [&] { (void)run_pingpong_abt(burst / 4); });
+    b::print_row("abt-ws", nth, st);
   }
 
   // Dispatch-parity sweep: the same burst through the GLT facade over all
-  // three backends × {locked, ws}. One run covers what used to need three
-  // GLT_IMPL invocations; glt-over-abt additionally measures the
-  // runtime-dispatch layer the paper claims is negligible (§III-B).
-  struct Backend {
-    gg::Impl impl;
-    const char* dispatch_env;  // the backend's *_DISPATCH variable
-  };
-  const Backend backends[] = {{gg::Impl::abt, "ABT_DISPATCH"},
-                              {gg::Impl::qth, "QTH_DISPATCH"},
-                              {gg::Impl::mth, "MTH_DISPATCH"}};
+  // three backends. One run covers what used to need three GLT_IMPL
+  // invocations; glt-over-abt additionally measures the runtime-dispatch
+  // layer the paper claims is negligible (§III-B).
+  const gg::Impl backends[] = {gg::Impl::abt, gg::Impl::qth, gg::Impl::mth};
 
   b::print_header("glt backend dispatch parity: burst spawn+join (s)");
-  for (const Backend& be : backends) {
-    for (const Mode& m : modes) {
-      c::env_set(be.dispatch_env, m.env);
-      for (int nth : b::thread_sweep()) {
-        gg::Config cfg;
-        cfg.impl = be.impl;
-        cfg.num_threads = nth;
-        cfg.bind_threads = false;
-        gg::init(cfg);
-        auto run_glt = [&] {
-          std::vector<gg::Ult*> us;
-          us.reserve(static_cast<std::size_t>(burst));
-          for (int i = 0; i < burst; ++i) {
-            us.push_back(gg::ult_create(work, nullptr));
-          }
-          for (auto* u : us) gg::ult_join(u);
-        };
-        run_glt();  // warm freelists / stack caches
-        auto st = b::time_runs(reps, run_glt);
-        char row[64];
-        std::snprintf(row, sizeof row, "%s-%s", gg::impl_name(be.impl),
-                      m.env);
-        b::print_row(row, nth, st);
-        const auto gs = gg::stats();
-        std::printf(
-            "    steals=%llu failed_steals=%llu stack_cache_hits=%llu "
-            "parks=%llu\n",
-            static_cast<unsigned long long>(gs.steals),
-            static_cast<unsigned long long>(gs.failed_steals),
-            static_cast<unsigned long long>(gs.stack_cache_hits),
-            static_cast<unsigned long long>(gs.parks));
-        gg::finalize();
-      }
-      c::env_set(be.dispatch_env, nullptr);
+  for (const gg::Impl impl : backends) {
+    for (int nth : b::thread_sweep()) {
+      gg::Config cfg;
+      cfg.impl = impl;
+      cfg.num_threads = nth;
+      cfg.bind_threads = false;
+      gg::init(cfg);
+      auto run_glt = [&] {
+        std::vector<gg::Ult*> us;
+        us.reserve(static_cast<std::size_t>(burst));
+        for (int i = 0; i < burst; ++i) {
+          us.push_back(gg::ult_create(work, nullptr));
+        }
+        for (auto* u : us) gg::ult_join(u);
+      };
+      run_glt();  // warm freelists / stack caches
+      auto st = b::time_runs(reps, run_glt);
+      char row[64];
+      std::snprintf(row, sizeof row, "%s-ws", gg::impl_name(impl));
+      b::print_row(row, nth, st);
+      const auto gs = gg::stats();
+      std::printf(
+          "    steals=%llu failed_steals=%llu stack_cache_hits=%llu "
+          "parks=%llu\n",
+          static_cast<unsigned long long>(gs.steals),
+          static_cast<unsigned long long>(gs.failed_steals),
+          static_cast<unsigned long long>(gs.stack_cache_hits),
+          static_cast<unsigned long long>(gs.parks));
+      gg::finalize();
     }
   }
 
@@ -200,42 +182,36 @@ int main() {
   // artifact that bounced qth's FEB joins through the word-lock table),
   // so the cell measures pure dispatch throughput.
   b::print_header("glt dispatch parity: burst, completion-order join (s)");
-  for (const Backend& be : backends) {
-    for (const Mode& m : modes) {
-      c::env_set(be.dispatch_env, m.env);
-      for (int nth : b::thread_sweep()) {
-        gg::Config cfg;
-        cfg.impl = be.impl;
-        cfg.num_threads = nth;
-        cfg.bind_threads = false;
-        gg::init(cfg);
-        auto run_co = [&] {
-          const std::uint64_t base =
-              g_done.load(std::memory_order_relaxed);
-          std::vector<gg::Ult*> us;
-          us.reserve(static_cast<std::size_t>(burst));
-          for (int i = 0; i < burst; ++i) {
-            us.push_back(gg::ult_create(work_counted, nullptr));
-          }
-          while (g_done.load(std::memory_order_acquire) - base <
-                 static_cast<std::uint64_t>(burst)) {
-            gg::yield();  // run/steal the backlog instead of blocking
-          }
-          // Every unit has run its body; joins only reclaim handles (a
-          // unit may still be in its completion epilogue — ult_is_done
-          // can lag the counter by a few instructions — so the join, not
-          // the probe, is the reclaim step).
-          for (auto* u : us) gg::ult_join(u);
-        };
-        run_co();  // warm freelists / stack caches
-        auto st = b::time_runs(reps, run_co);
-        char row[64];
-        std::snprintf(row, sizeof row, "%s-%s-co", gg::impl_name(be.impl),
-                      m.env);
-        b::print_row(row, nth, st);
-        gg::finalize();
-      }
-      c::env_set(be.dispatch_env, nullptr);
+  for (const gg::Impl impl : backends) {
+    for (int nth : b::thread_sweep()) {
+      gg::Config cfg;
+      cfg.impl = impl;
+      cfg.num_threads = nth;
+      cfg.bind_threads = false;
+      gg::init(cfg);
+      auto run_co = [&] {
+        const std::uint64_t base = g_done.load(std::memory_order_relaxed);
+        std::vector<gg::Ult*> us;
+        us.reserve(static_cast<std::size_t>(burst));
+        for (int i = 0; i < burst; ++i) {
+          us.push_back(gg::ult_create(work_counted, nullptr));
+        }
+        while (g_done.load(std::memory_order_acquire) - base <
+               static_cast<std::uint64_t>(burst)) {
+          gg::yield();  // run/steal the backlog instead of blocking
+        }
+        // Every unit has run its body; joins only reclaim handles (a
+        // unit may still be in its completion epilogue — ult_is_done
+        // can lag the counter by a few instructions — so the join, not
+        // the probe, is the reclaim step).
+        for (auto* u : us) gg::ult_join(u);
+      };
+      run_co();  // warm freelists / stack caches
+      auto st = b::time_runs(reps, run_co);
+      char row[64];
+      std::snprintf(row, sizeof row, "%s-ws-co", gg::impl_name(impl));
+      b::print_row(row, nth, st);
+      gg::finalize();
     }
   }
 

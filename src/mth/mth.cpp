@@ -81,7 +81,6 @@ struct alignas(common::kCacheLine) Worker {
 
 struct Runtime {
   Config cfg;
-  bool ws = true;  ///< resolved dispatch mode (true → work stealing)
   int n = 0;
   std::vector<Worker> workers;
   /// Shared scheduling core. Everything mth schedules is stealable (its
@@ -402,13 +401,10 @@ void init(const Config& cfg_in) {
   g_rt->cfg.num_workers =
       common::env_worker_count("MTH_NUM_WORKERS", cfg_in.num_workers);
   g_rt->n = g_rt->cfg.num_workers;
-  g_rt->ws = sched::resolve_dispatch(g_rt->cfg.dispatch, "MTH_DISPATCH") ==
-             Dispatch::WorkStealing;
   g_rt->workers = std::vector<Worker>(static_cast<std::size_t>(g_rt->n));
   sched::WsCoreConfig core_cfg;
   core_cfg.num_workers = g_rt->n;
   core_cfg.shared_pool = g_rt->cfg.shared_pool;
-  core_cfg.work_stealing = g_rt->ws;
   core_cfg.deque_capacity = 64;  // continuation chains stay shallow
   g_rt->core = std::make_unique<sched::WsCore<Strand*>>(core_cfg);
   g_rt->free = std::make_unique<sched::Freelist<Strand>>(g_rt->n);
@@ -463,11 +459,6 @@ bool in_strand() { return tls.current != nullptr; }
 bool maybe_work() {
   if (g_rt == nullptr || tls.rank < 0) return false;
   return g_rt->core->maybe_work(tls.rank, tls.rank == 0);
-}
-
-Dispatch dispatch_mode() {
-  if (g_rt == nullptr) return Dispatch::Auto;
-  return g_rt->ws ? Dispatch::WorkStealing : Dispatch::Locked;
 }
 
 Strand* create(WorkFn fn, void* arg) {

@@ -8,36 +8,6 @@
 
 namespace glto::sched {
 
-const char* dispatch_name(Dispatch d) {
-  switch (d) {
-    case Dispatch::Auto:
-      return "auto";
-    case Dispatch::WorkStealing:
-      return "ws";
-    case Dispatch::Locked:
-      return "locked";
-  }
-  return "?";
-}
-
-Dispatch resolve_dispatch(Dispatch requested, const char* env_var) {
-  if (requested != Dispatch::Auto) return requested;
-  if (auto s = common::env_str(env_var)) {
-    std::string v = *s;
-    for (char& c : v) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    if (v == "locked") return Dispatch::Locked;
-    if (v != "ws" && v != "workstealing") {
-      std::fprintf(stderr,
-                   "sched: unrecognized %s='%s' (expected 'ws' or "
-                   "'locked'); using work stealing\n",
-                   env_var, s->c_str());
-    }
-  }
-  return Dispatch::WorkStealing;
-}
-
 const char* wake_policy_name(WakePolicy p) {
   switch (p) {
     case WakePolicy::Auto:

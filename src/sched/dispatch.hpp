@@ -1,35 +1,15 @@
-// Scheduling-core selection shared by the three LWT backends.
-//
-// Every backend exposes the same ablation axis the paper's §IV-F-style
-// studies need: the PR-1 work-stealing core (Chase–Lev deques + randomized
-// stealing) against the seed's mutex-guarded FIFO pools. The mode is
-// resolved once at init from the backend's own environment variable
-// ($ABT_DISPATCH, $QTH_DISPATCH, $MTH_DISPATCH), so a single binary can
-// sweep backend × dispatch without rebuilding.
+// Environment-resolved settings of the shared scheduling core: the
+// idle-worker wakeup policy ($GLTO_WAKE_POLICY) and the chaos harness's
+// fault-injection plan ($GLTO_CHAOS). Both are resolved once at init, so a
+// single binary can sweep them without rebuilding.
 #pragma once
 
 #include <cstdint>
 
 namespace glto::sched {
 
-enum class Dispatch : std::uint8_t {
-  Auto,          ///< resolve from the backend's $*_DISPATCH, default ws
-  WorkStealing,  ///< Chase–Lev deques + randomized stealing (lock-free)
-  Locked,        ///< mutex-guarded FIFO pools, no stealing (seed baseline)
-};
-
-/// Human-readable mode name ("ws" / "locked" / "auto").
-[[nodiscard]] const char* dispatch_name(Dispatch d);
-
-/// Resolves Dispatch::Auto through @p env_var ("ws" | "workstealing" |
-/// "locked", case-insensitive). An unrecognized value warns on stderr and
-/// falls back to work stealing — a silent fallback would mislabel an
-/// ablation run. Non-Auto requests pass through untouched.
-[[nodiscard]] Dispatch resolve_dispatch(Dispatch requested,
-                                        const char* env_var);
-
-/// Idle-worker wakeup policy of the shared scheduling core — the second
-/// ablation axis ($GLTO_WAKE_POLICY, honoured by all three backends).
+/// Idle-worker wakeup policy of the shared scheduling core — an ablation
+/// axis ($GLTO_WAKE_POLICY, honoured by all three backends).
 /// Before this axis existed every push broadcast-woke the whole team
 /// (today's `all`), so a single-producer burst paid one futex storm per
 /// task; `one` issues exactly one targeted wake per deposit and is the

@@ -2,22 +2,20 @@
 //
 // PR 1 built this machinery inside the abt backend: per-worker Chase–Lev
 // deques with randomized stealing, an owner-only "fair" FIFO side queue
-// for pinned/remote/yielded units, a locked-FIFO ablation baseline, a
-// single shared MPMC pool for the §IV-F GLT_SHARED_QUEUES study, adaptive
-// idle parking, and steal/park counters. This header hoists all of it into
+// for pinned/remote/yielded units, a single shared MPMC pool for the
+// §IV-F GLT_SHARED_QUEUES study, adaptive idle parking, and steal/park
+// counters. This header hoists all of it into
 // one reusable engine so qth shepherds and mth workers dispatch through
 // the identical fast path — restoring the cross-backend comparison the
 // paper's Figs. 4–9 are about (one GLT API, three runtimes, no penalty).
 //
-// Queue discipline per worker (work-stealing mode):
+// Queue discipline per worker:
 //  * `deque`  — unpinned units pushed by the owner; LIFO bottom for the
 //    owner (cache-warm, work-first), FIFO top for thieves.
 //  * `fair`   — pinned, remote-submitted, and yielded units; MPMC push,
 //    popped FIFO by the owner only, checked first every 64th pop so it
 //    cannot starve behind a spawn storm. Pinned units are never stolen —
 //    the exact-placement contract glt::ult_create_to documents.
-//  * `locked` — the seed's mutex-guarded FIFO, used exclusively when the
-//    core runs in Dispatch::Locked (the measurable baseline).
 // One core-wide queue sits beside the per-worker pools:
 //  * `inject` — unpinned units made runnable (submit or ready) by a thread
 //    outside the runtime (caller_rank < 0); MPMC push by those threads,
@@ -37,7 +35,7 @@
 // — no lost wakeups, and no O(team) futex broadcast per push. The
 // $GLTO_WAKE_POLICY axis keeps the old broadcast reachable:
 //  * one        — every deposit wakes at most one parked worker: the
-//                 deposit's owner for owner-only stores (fair/locked/main),
+//                 deposit's owner for owner-only stores (fair/main),
 //                 any parked thief for stealable deque pushes. Default.
 //  * threshold  — like `one`; submit_bulk engages victims proportionally
 //                 to the batch size (⌈n/kBulkWakeGrain⌉) instead of one
@@ -70,7 +68,6 @@
 #include "common/rng.hpp"
 #include "sched/chase_lev.hpp"
 #include "sched/dispatch.hpp"
-#include "sched/locked_queue.hpp"
 #include "sched/overflow_queue.hpp"
 #include "sched/trace.hpp"
 #include "sched/watchdog.hpp"
@@ -79,8 +76,7 @@ namespace glto::sched {
 
 struct WsCoreConfig {
   int num_workers = 1;
-  bool shared_pool = false;   ///< one pool for all workers (§IV-F ablation)
-  bool work_stealing = true;  ///< false → Dispatch::Locked baseline
+  bool shared_pool = false;  ///< one pool for all workers (§IV-F ablation)
   std::size_t deque_capacity = 256;
   std::size_t fair_capacity = 1024;
   /// Idle-worker wakeup policy; Auto resolves from $GLTO_WAKE_POLICY
@@ -141,7 +137,6 @@ class WsCore {
   explicit WsCore(const WsCoreConfig& cfg)
       : n_(cfg.num_workers > 0 ? cfg.num_workers : 1),
         shared_(cfg.shared_pool),
-        ws_(cfg.work_stealing),
         policy_(resolve_wake_policy(cfg.wake_policy)),
         idle_words_(static_cast<std::size_t>((n_ + 63) / 64)),
         sync_(new WorkerSync[static_cast<std::size_t>(n_)]),
@@ -159,11 +154,10 @@ class WsCore {
   WsCore& operator=(const WsCore&) = delete;
 
   [[nodiscard]] int num_workers() const { return n_; }
-  [[nodiscard]] bool work_stealing() const { return ws_; }
   [[nodiscard]] bool shared_pool() const { return shared_; }
   [[nodiscard]] WakePolicy wake_policy() const { return policy_; }
   [[nodiscard]] bool stealing_active() const {
-    return ws_ && !shared_ && n_ > 1;
+    return !shared_ && n_ > 1;
   }
 
   // ------------------------------------------------------------- routing
@@ -176,10 +170,7 @@ class WsCore {
   /// an unpinned unit from a thread outside the runtime (caller_rank < 0)
   /// goes to the inject queue, which every worker drains.
   void submit(int caller_rank, int target_rank, bool pinned, T item) {
-    if (!ws_) {
-      pool_for(target_rank).locked.push(item);
-      wake_owner_store(caller_rank, target_rank);
-    } else if (shared_) {
+    if (shared_) {
       pools_[0]->fair.push(item);
       wake_any(caller_rank);
     } else if (!pinned && caller_rank < 0) {
@@ -202,10 +193,7 @@ class WsCore {
   /// have changed OS threads).
   void ready(int caller_rank, int home_rank, bool pinned, bool fifo,
              T item) {
-    if (!ws_) {
-      pool_for(home_rank).locked.push(item);
-      wake_owner_store(caller_rank, home_rank);
-    } else if (shared_) {
+    if (shared_) {
       pools_[0]->fair.push(item);
       wake_any(caller_rank);
     } else if (pinned) {
@@ -223,31 +211,23 @@ class WsCore {
   }
 
   /// Deposits an unpinned unit made runnable by a thread outside the
-  /// runtime, which owns no pool: the inject queue in work-stealing mode
-  /// (any worker runs it), the shared pool, or worker 0's FIFO in the
-  /// Locked baseline.
+  /// runtime, which owns no pool: the inject queue (any worker runs it),
+  /// or the shared pool.
   void inject(T item) {
-    if (!ws_) {
-      pool_for(0).locked.push(item);
-      wake_owner_store(-1, 0);
-    } else if (shared_) {
+    if (shared_) {
       pools_[0]->fair.push(item);
-      wake_any(-1);
     } else {
       inject_.push(item);
-      wake_any(-1);
     }
+    wake_any(-1);
   }
 
-  /// Owner push onto @p rank's primary store for the current mode (deque,
-  /// shared pool, or locked FIFO). For callers that manage their own
-  /// placement policy (mth publishes continuations and yields this way —
-  /// everything it schedules is stealable).
+  /// Owner push onto @p rank's primary store (deque, or the shared pool).
+  /// For callers that manage their own placement policy (mth publishes
+  /// continuations and yields this way — everything it schedules is
+  /// stealable).
   void push_owner(int rank, T item) {
-    if (!ws_) {
-      pool_for(rank).locked.push(item);
-      wake_owner_store(rank, rank);
-    } else if (shared_) {
+    if (shared_) {
       pools_[0]->fair.push(item);
       wake_any(rank);
     } else {
@@ -257,15 +237,11 @@ class WsCore {
   }
 
   /// Queues the primary (main) context. Only pop_main — called by the
-  /// worker-0 loop — ever returns it, whatever the mode: a worker that
-  /// resumed main would let finalize tear the runtime down from a foreign
-  /// OS thread while the real main thread still runs on its stack.
+  /// worker-0 loop — ever returns it, whatever the pool layout: a worker
+  /// that resumed main would let finalize tear the runtime down from a
+  /// foreign OS thread while the real main thread still runs on its stack.
   void push_main(T item) {
-    if (ws_) {
-      main_fair_.push(item);
-    } else {
-      main_locked_.push(item);
-    }
+    main_fair_.push(item);
     // Only the worker-0 loop can consume the main slot, so its wake is
     // always targeted — even under the broadcast policy nothing else
     // could run this item.
@@ -294,10 +270,6 @@ class WsCore {
     bulk_deposits_.fetch_add(1, std::memory_order_relaxed);
     trace_emit(TraceKind::bulk_deposit, static_cast<std::uint64_t>(n),
                static_cast<std::uint32_t>(hint == BulkHint::local ? 1 : 0));
-    if (!ws_) {
-      submit_bulk_locked(caller_rank, items, n);
-      return;
-    }
     if (shared_) {
       pools_[0]->fair.push_n(items, n);
       wake_bulk_any(caller_rank, n);
@@ -347,10 +319,6 @@ class WsCore {
   /// empty.
   T pop_local(int rank, unsigned* tick) {
     Pool& pool = pool_for(rank);
-    if (!ws_) {
-      if (auto v = pool.locked.pop()) return *v;
-      return T{};
-    }
     const unsigned phase = ++*tick & 63u;
     const bool fair_first = phase == 0;
     const bool inject_first = phase == 32 && !shared_;
@@ -374,11 +342,7 @@ class WsCore {
 
   /// Pops the main slot. Call only from the worker-0 loop.
   T pop_main() {
-    if (ws_) {
-      if (auto v = main_fair_.pop()) return *v;
-      return T{};
-    }
-    if (auto v = main_locked_.pop()) return *v;
+    if (auto v = main_fair_.pop()) return *v;
     return T{};
   }
 
@@ -527,10 +491,8 @@ class WsCore {
   /// Racy "is there anything I could run?" probe for yield heuristics
   /// (with nothing else runnable, yielding is a no-op).
   [[nodiscard]] bool maybe_work(int rank, bool with_main) const {
-    if (with_main && ws_ && main_fair_.size_approx() > 0) return true;
-    if (with_main && !ws_ && !main_locked_.empty()) return true;
+    if (with_main && main_fair_.size_approx() > 0) return true;
     const Pool& own = pool_for(rank);
-    if (!ws_) return !own.locked.empty();
     if (own.fair.size_approx() > 0 || !own.deque.empty_approx()) return true;
     if (inject_.size_approx() > 0) return true;
     if (!stealing_active()) return false;
@@ -574,9 +536,9 @@ class WsCore {
   /// (all queues empty, waiters elsewhere). Racy relaxed reads only: the
   /// runtime is presumed wedged, and this must not block on its locks.
   void dump_state(const char* tag) const {
-    std::fprintf(stderr, "glto: WATCHDOG: core[%s] workers=%d mode=%s%s "
+    std::fprintf(stderr, "glto: WATCHDOG: core[%s] workers=%d shared=%d "
                          "shutdown=%d\n",
-                 tag, n_, ws_ ? "ws" : "locked", shared_ ? "+shared" : "",
+                 tag, n_, shared_ ? 1 : 0,
                  shutdown_.load(std::memory_order_relaxed) ? 1 : 0);
     std::fprintf(stderr, "glto: WATCHDOG:   idle mask:");
     for (std::size_t w = 0; w < idle_words_.size(); ++w) {
@@ -584,23 +546,18 @@ class WsCore {
                    static_cast<unsigned long long>(
                        idle_words_[w].load(std::memory_order_relaxed)));
     }
-    std::fprintf(
-        stderr, "  main slot: %llu  inject: %zu\n",
-        static_cast<unsigned long long>(
-            ws_ ? static_cast<std::uint64_t>(main_fair_.size_approx())
-                : static_cast<std::uint64_t>(main_locked_.size())),
-        inject_.size_approx());
+    std::fprintf(stderr, "  main slot: %zu  inject: %zu\n",
+                 main_fair_.size_approx(), inject_.size_approx());
     for (int r = 0; r < n_; ++r) {
       const Pool& p = pool_for(r);
       const Counters& c = counters_[static_cast<std::size_t>(r)];
       const std::int64_t dq = p.deque.size_approx();
       std::fprintf(
           stderr,
-          "glto: WATCHDOG:   w%-3d deque=%lld fair=%zu locked=%zu "
+          "glto: WATCHDOG:   w%-3d deque=%lld fair=%zu "
           "acquired=%llu steals=%llu parks=%llu spurious=%llu "
           "parked_waiters=%d\n",
           r, static_cast<long long>(dq < 0 ? 0 : dq), p.fair.size_approx(),
-          p.locked.size(),
           static_cast<unsigned long long>(
               c.acquired.load(std::memory_order_relaxed)),
           static_cast<unsigned long long>(
@@ -627,7 +584,6 @@ class WsCore {
         : deque(deque_cap), fair(fair_cap) {}
     ChaseLevDeque<T> deque;
     OverflowQueue<T> fair;
-    LockedQueue<T> locked;
   };
 
   /// Per-worker counters, owner-written; one cache line each so the hot
@@ -716,18 +672,13 @@ class WsCore {
     sync_[static_cast<std::size_t>(rank)].parker.unpark();
   }
 
-  /// Wake for a deposit into @p store_rank's owner-only store
-  /// (fair/locked): only that owner can run the item, so the wake is
+  /// Wake for a deposit into @p store_rank's owner-only fair FIFO (per-
+  /// worker pools only): only that owner can run the item, so the wake is
   /// always targeted — unless the owner IS the caller (awake by
   /// definition), in which case no wake is needed.
   void wake_owner_store(int caller_rank, int store_rank) {
     if (policy_ == WakePolicy::All) {
       wake_all();
-      return;
-    }
-    if (shared_) {
-      // pool_for collapsed the store: any worker can pop it.
-      wake_any(caller_rank);
       return;
     }
     if (store_rank == caller_rank) return;
@@ -804,35 +755,11 @@ class WsCore {
     }
   }
 
-  /// Locked-baseline bulk: round-robin chunks over the per-worker FIFOs
-  /// (the seed's scatter shape), one wake per engaged owner.
-  void submit_bulk_locked(int caller_rank, const T* items, std::size_t n) {
-    if (shared_) {
-      pool_for(0).locked.push_n(items, n);
-      wake_bulk_any(caller_rank, n);
-      return;
-    }
-    const std::size_t k = bulk_victims(n);
-    const std::size_t chunk = (n + k - 1) / k;
-    const int start = caller_rank >= 0 ? caller_rank : 0;
-    std::size_t i = 0;
-    for (std::size_t j = 0; j < k && i < n; ++j) {
-      const int victim = static_cast<int>(
-          (static_cast<std::size_t>(start) + j) % static_cast<std::size_t>(n_));
-      const std::size_t take = std::min(chunk, n - i);
-      pool_for(victim).locked.push_n(items + i, take);
-      wake_owner_store(caller_rank, victim);
-      i += take;
-    }
-  }
-
   const int n_;
   const bool shared_;
-  const bool ws_;
   const WakePolicy policy_;
   std::vector<std::unique_ptr<Pool>> pools_;
   OverflowQueue<T> main_fair_{64};
-  LockedQueue<T> main_locked_;
   /// Unpinned units readied from outside the runtime; every worker pops.
   OverflowQueue<T> inject_{256};
   /// One idle bit per worker, set (seq_cst) before the final pre-park

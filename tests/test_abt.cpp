@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "abt/abt.hpp"
-#include "common/env.hpp"
 
 namespace ga = glto::abt;
 
@@ -103,9 +102,9 @@ TEST(Abt, YieldInterleavesUltsOnOneXstream) {
   // Two ULTs on one xstream must interleave via yield: each appends its tag
   // alternately. Proves cooperative scheduling works and that yield is a
   // fairness point (a yielded ULT goes to the FIFO side queue, so its peer
-  // runs next). Which tag goes first depends on the dispatch mode — the
-  // work-first deque pops the newest ULT first, the locked FIFO the oldest
-  // — so only strict alternation is asserted, not the starting tag.
+  // runs next). Which tag goes first is a placement detail — the
+  // work-first deque pops the newest ULT first — so only strict
+  // alternation is asserted, not the starting tag.
   struct Shared {
     std::vector<int> order;
   } sh;
@@ -272,7 +271,6 @@ TEST(Abt, ManyTaskletsInterleavedWithUlts) {
 
 TEST(AbtSteal, IdleXstreamStealsUnpinnedWork) {
   AbtScope s(2);
-  ASSERT_EQ(ga::dispatch_mode(), ga::Dispatch::WorkStealing);
   // The primary ULT never suspends below, so xstream 0's scheduler never
   // runs: the only way this unpinned ULT can execute is a steal by
   // xstream 1. Deterministic forcing of the steal path.
@@ -408,58 +406,6 @@ TEST(AbtRecycle, RecycledUnitsStartClean) {
         &x);
     ga::join(u);
     ASSERT_EQ(x.load(), 1) << "round " << round;
-  }
-}
-
-namespace {
-
-/// Scope running abt with the seed's mutex-guarded FIFO dispatch.
-struct LockedScope {
-  explicit LockedScope(int n, bool shared = false) {
-    ga::Config cfg;
-    cfg.num_xstreams = n;
-    cfg.shared_pool = shared;
-    cfg.bind_threads = false;
-    cfg.dispatch = ga::Dispatch::Locked;
-    ga::init(cfg);
-  }
-  ~LockedScope() { ga::finalize(); }
-};
-
-}  // namespace
-
-TEST(AbtLockedDispatch, BaselineModeStillWorks) {
-  LockedScope s(3);
-  ASSERT_EQ(ga::dispatch_mode(), ga::Dispatch::Locked);
-  constexpr int kN = 300;
-  std::atomic<int> count{0};
-  std::vector<ga::WorkUnit*> us;
-  us.reserve(kN);
-  for (int i = 0; i < kN; ++i) {
-    us.push_back(ga::ult_create(
-        [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); },
-        &count));
-  }
-  for (auto* u : us) ga::join(u);
-  EXPECT_EQ(count.load(), kN);
-  EXPECT_EQ(ga::stats().steals, 0u) << "locked dispatch never steals";
-}
-
-TEST(AbtLockedDispatch, EnvKnobSelectsBaseline) {
-  glto::common::env_set("ABT_DISPATCH", "locked");
-  {
-    AbtScope s(2);
-    EXPECT_EQ(ga::dispatch_mode(), ga::Dispatch::Locked);
-    std::atomic<int> x{0};
-    auto* u = ga::ult_create(
-        [](void* p) { static_cast<std::atomic<int>*>(p)->store(9); }, &x);
-    ga::join(u);
-    EXPECT_EQ(x.load(), 9);
-  }
-  glto::common::env_set("ABT_DISPATCH", nullptr);
-  {
-    AbtScope s(2);
-    EXPECT_EQ(ga::dispatch_mode(), ga::Dispatch::WorkStealing);
   }
 }
 

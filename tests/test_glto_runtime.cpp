@@ -2,11 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <set>
 
+#include "glt/glt.hpp"
 #include "omp/omp.hpp"
 
+namespace glt = glto::glt;
 namespace o = glto::omp;
 
 namespace {
@@ -95,27 +96,30 @@ TEST(GltoTasks, ProducerTasksSpreadRoundRobin) {
 
 TEST(GltoTasks, NonProducerTasksStayLocalOnAbt) {
   // Outside single/master, each member submits its tasks to its own
-  // GLT_thread (§IV-D) rather than round-robin. Under the default
-  // work-stealing dispatch an idle sibling may still *steal* one (the
-  // deposit is local, the execution is best-effort — visible under a
-  // TSan-slowed run), so pin dispatch to the locked per-rank queues,
-  // where placement is owner-only: any off-thread execution would then
-  // prove the dispatch policy itself is wrong.
-  setenv("ABT_DISPATCH", "locked", 1);
+  // GLT_thread's deque (§IV-D) rather than round-robin. An idle sibling
+  // may still steal one (visible under a TSan-slowed run), so a task may
+  // leave its creator's GLT_thread only by being stolen: the off-thread
+  // executions can never outnumber the steals over the region.
   select_glto(o::RuntimeKind::glto_abt, 3);
-  std::atomic<bool> ok{true};
+  std::atomic<std::uint64_t> off_thread{0};
+  std::atomic<int> ran{0};
+  const auto steals_before = glt::stats().steals;
   o::parallel([&](int tid, int) {
     if (tid == 0) return;  // master's ctx is in_master: dispatch differs
+    const int creator = glt::thread_num();
     for (int i = 0; i < 5; ++i) {
-      o::task([&ok, tid] {
-        if (o::thread_num() != tid) ok.store(false);
+      o::task([&off_thread, &ran, creator] {
+        if (glt::thread_num() != creator) off_thread.fetch_add(1);
+        ran.fetch_add(1);
       });
     }
     o::taskwait();
   });
-  EXPECT_TRUE(ok.load());
+  const auto steals = glt::stats().steals - steals_before;
+  EXPECT_EQ(ran.load(), 10);
+  EXPECT_LE(off_thread.load(), steals)
+      << "a member-spawned task ran off its creator's GLT_thread unstolen";
   o::shutdown();
-  unsetenv("ABT_DISPATCH");
 }
 
 TEST(GltoTasks, FinalTasksRunInline) {

@@ -18,11 +18,10 @@ namespace gs = glto::sched;
 
 namespace {
 
-gs::WsCoreConfig cfg(int n, bool shared = false, bool ws = true) {
+gs::WsCoreConfig cfg(int n, bool shared = false) {
   gs::WsCoreConfig c;
   c.num_workers = n;
   c.shared_pool = shared;
-  c.work_stealing = ws;
   return c;
 }
 
@@ -87,19 +86,6 @@ TEST(WsCore, FairQueueCannotStarveBehindSpawnStorm) {
     }
   }
   EXPECT_TRUE(fair_served);
-}
-
-TEST(WsCore, LockedModeDisablesStealing) {
-  gs::WsCore<int*> core(cfg(2, /*shared=*/false, /*ws=*/false));
-  EXPECT_FALSE(core.stealing_active());
-  int items[4] = {0, 1, 2, 3};
-  for (int& i : items) core.submit(0, 0, false, &i);
-  glto::common::FastRng rng(3);
-  EXPECT_EQ(core.try_steal(1, rng), nullptr);
-  unsigned tick = 0;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(core.pop_local(0, &tick), &items[i]) << "locked pool is FIFO";
-  }
 }
 
 TEST(WsCore, SharedPoolServesEveryWorker) {
@@ -555,23 +541,6 @@ TEST(WsCore, SubmitBulkThresholdEngagesVictimsProportionally) {
       << "threshold: ⌈8/kBulkWakeGrain⌉ victims for an 8-unit batch";
 }
 
-TEST(WsCore, SubmitBulkLockedModeScattersOverSeedFifos) {
-  gs::WsCore<std::intptr_t*> core(cfg(2, /*shared=*/false, /*ws=*/false));
-  std::vector<std::intptr_t> backing(10);
-  std::vector<std::intptr_t*> items(10);
-  for (int i = 0; i < 10; ++i) {
-    backing[static_cast<std::size_t>(i)] = i + 1;
-    items[static_cast<std::size_t>(i)] = &backing[static_cast<std::size_t>(i)];
-  }
-  core.submit_bulk(0, items.data(), items.size(), gs::BulkHint::spread);
-  unsigned tick = 0;
-  std::intptr_t sum = 0;
-  for (int rank = 0; rank < 2; ++rank) {
-    while (auto* v = core.pop_local(rank, &tick)) sum += *v;
-  }
-  EXPECT_EQ(sum, 55);
-}
-
 TEST(WsCore, ChaseLevPushNPublishesAcrossGrowth) {
   gs::ChaseLevDeque<std::intptr_t*> deque(8);  // forces several growths
   constexpr std::intptr_t kItems = 1000;
@@ -748,31 +717,17 @@ TEST(WsCore, SingleWorkerDrainsInjectQueue) {
   EXPECT_EQ(got.load(), &a);
 }
 
-TEST(WsCore, LockedAndSharedModesKeepForeignPlacement) {
-  // Dispatch::Locked: a foreign ready returns to the home's locked FIFO,
-  // a foreign submit to the target's — nobody else can pop either.
-  {
-    gs::WsCore<int*> core(cfg(3, /*shared=*/false, /*ws=*/false));
-    int x = 0, y = 0;
-    core.ready(-1, /*home=*/2, /*pinned=*/false, /*fifo=*/false, &x);
-    core.submit(-1, /*target=*/1, /*pinned=*/false, &y);
-    unsigned tick = 0;
-    EXPECT_EQ(core.pop_local(0, &tick), nullptr);
-    EXPECT_EQ(core.pop_local(1, &tick), &y);
-    EXPECT_EQ(core.pop_local(1, &tick), nullptr);
-    EXPECT_EQ(core.pop_local(2, &tick), &x);
-  }
-  // GLT_SHARED_QUEUES: one pool serves every worker, as before.
-  {
-    gs::WsCore<int*> core(cfg(3, /*shared=*/true));
-    int x = 0, y = 0;
-    core.ready(-1, 2, false, false, &x);
-    core.submit(-1, 1, false, &y);
-    unsigned tick = 0;
-    EXPECT_EQ(core.pop_local(0, &tick), &x);
-    EXPECT_EQ(core.pop_local(0, &tick), &y);
-    EXPECT_EQ(core.pop_local(0, &tick), nullptr);
-  }
+TEST(WsCore, SharedPoolKeepsForeignPlacement) {
+  // GLT_SHARED_QUEUES: a foreign ready and a foreign submit both land in
+  // the one pool, which serves every worker whatever home/target they name.
+  gs::WsCore<int*> core(cfg(3, /*shared=*/true));
+  int x = 0, y = 0;
+  core.ready(-1, /*home=*/2, /*pinned=*/false, /*fifo=*/false, &x);
+  core.submit(-1, /*target=*/1, /*pinned=*/false, &y);
+  unsigned tick = 0;
+  EXPECT_EQ(core.pop_local(0, &tick), &x);
+  EXPECT_EQ(core.pop_local(0, &tick), &y);
+  EXPECT_EQ(core.pop_local(0, &tick), nullptr);
 }
 
 // ---------------------------------------------------------------- freelist
@@ -836,22 +791,3 @@ TEST(Freelist, RanksOutOfRangeFallBackToSlab) {
   fl.recycle(0, r);
 }
 
-TEST(Dispatch, ResolveFromEnv) {
-  namespace env = glto::common;
-  env::env_set("TEST_DISPATCH", "locked");
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::Locked);
-  env::env_set("TEST_DISPATCH", "WS");
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::WorkStealing);
-  env::env_set("TEST_DISPATCH", "garbage");
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::WorkStealing)
-      << "unrecognized value falls back to ws (with a warning)";
-  env::env_set("TEST_DISPATCH", nullptr);
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::WorkStealing);
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Locked, "TEST_DISPATCH"),
-            gs::Dispatch::Locked)
-      << "explicit requests bypass the environment";
-}
